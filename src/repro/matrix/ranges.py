@@ -41,28 +41,39 @@ class RangeQueries(LinearQueryMatrix):
 
     def __init__(self, n: int, intervals: Iterable[tuple[int, int]]):
         self.n = int(n)
-        self.intervals = [(int(lo), int(hi)) for lo, hi in intervals]
-        for lo, hi in self.intervals:
-            if not (0 <= lo <= hi < self.n):
-                raise ValueError(f"invalid range ({lo}, {hi}) for domain size {self.n}")
-        if not self.intervals:
+        if not isinstance(intervals, np.ndarray):
+            intervals = list(intervals)
+        #: ``(m, 2)`` int64 array of ``(lo, hi)`` rows (a private copy)
+        self._bounds = np.array(intervals, dtype=np.int64)
+        if not self._bounds.size:
             raise ValueError("RangeQueries requires at least one interval")
+        if self._bounds.ndim != 2 or self._bounds.shape[1] != 2:
+            raise ValueError("intervals must be a sequence of (lo, hi) pairs")
+        self._lo, self._hi = self._bounds[:, 0], self._bounds[:, 1]
+        bad = ~((0 <= self._lo) & (self._lo <= self._hi) & (self._hi < self.n))
+        if bad.any():
+            lo, hi = self._bounds[np.argmax(bad)].tolist()
+            raise ValueError(f"invalid range ({lo}, {hi}) for domain size {self.n}")
+        self.intervals = list(zip(self._lo.tolist(), self._hi.tolist()))
         self.shape = (len(self.intervals), self.n)
         self._product = Product(self._difference_matrix(), Prefix(self.n))
 
     def _difference_matrix(self) -> SparseMatrix:
-        """Sparse factor with +1 at column ``hi`` and -1 at column ``lo - 1``."""
-        rows, cols, vals = [], [], []
-        for i, (lo, hi) in enumerate(self.intervals):
-            rows.append(i)
-            cols.append(hi)
-            vals.append(1.0)
-            if lo > 0:
-                rows.append(i)
-                cols.append(lo - 1)
-                vals.append(-1.0)
-        mat = sp.csr_matrix((vals, (rows, cols)), shape=self.shape)
-        return SparseMatrix(mat)
+        """Sparse factor with +1 at column ``hi`` and -1 at column ``lo - 1``.
+
+        Built directly in canonical CSR form: each row holds ``lo - 1`` (when
+        ``lo > 0``) then ``hi``, so column indices are sorted within rows.
+        """
+        inner = self._lo > 0
+        indptr = np.zeros(self.shape[0] + 1, dtype=np.int32)
+        np.cumsum(1 + inner, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.ones(indptr[-1])
+        indices[indptr[1:] - 1] = self._hi
+        first = indptr[:-1][inner]
+        indices[first] = self._lo[inner] - 1
+        data[first] = -1.0
+        return SparseMatrix(sp.csr_matrix((data, indices, indptr), shape=self.shape))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self._product.matvec(v)
@@ -83,13 +94,11 @@ class RangeQueries(LinearQueryMatrix):
         return self
 
     def sensitivity(self) -> float:
-        # Column j is covered by every interval containing j.
-        counts = np.zeros(self.n)
-        for lo, hi in self.intervals:
-            counts[lo] += 1
-            if hi + 1 < self.n:
-                counts[hi + 1] -= 1
-        return float(np.max(np.cumsum(counts)))
+        # Column j is covered by every interval containing j: +1 at each lo,
+        # -1 just past each hi, cumsummed in exact integer arithmetic.
+        starts = np.bincount(self._lo, minlength=self.n + 1)
+        ends = np.bincount(self._hi + 1, minlength=self.n + 1)
+        return float(np.max(np.cumsum(starts - ends)[: self.n]))
 
     def dense(self) -> np.ndarray:
         return self.rows(np.arange(self.shape[0]))
@@ -109,14 +118,36 @@ class RangeQueries(LinearQueryMatrix):
         # than routing basis vectors through Prefix.
         indices = np.atleast_1d(np.asarray(indices, dtype=np.intp))
         bounds = np.zeros((indices.size, self.n + 1))
-        for r, i in enumerate(indices):
-            lo, hi = self.intervals[i]
-            bounds[r, lo] = 1.0
-            bounds[r, hi + 1] = -1.0
+        which = np.arange(indices.size)
+        bounds[which, self._lo[indices]] = 1.0
+        bounds[which, self._hi[indices] + 1] = -1.0
         return np.cumsum(bounds[:, :-1], axis=1)
 
     def _build_strategy_key(self) -> tuple:
-        return ("RangeQueries", self.n, _content_digest(np.asarray(self.intervals)))
+        return ("RangeQueries", self.n, _content_digest(self._bounds))
+
+
+def hierarchical_bounds(n: int, branching: int = 2) -> np.ndarray:
+    """:func:`hierarchical_intervals` as an ``(m, 2)`` array of ``(lo, hi)`` rows."""
+    if n <= 0:
+        raise ValueError("domain size must be positive")
+    if branching < 2:
+        raise ValueError("branching factor must be at least 2")
+    # Level by level: split every node of a level at once and keep the
+    # children longer than one cell.
+    levels = []
+    level = np.array([[0, n - 1]])
+    while True:
+        level = level[level[:, 1] > level[:, 0]]
+        if not level.size:
+            break
+        levels.append(level)
+        edges = np.linspace(level[:, 0], level[:, 1] + 1, branching + 1, axis=1).astype(int)
+        level = np.stack([edges[:, :-1].ravel(), edges[:, 1:].ravel() - 1], axis=1)
+    bounds = np.concatenate(levels) if levels else level
+    # The depth-first order of a stack that pops the last child first: hi
+    # descending, ancestors (smaller lo) before their descendants.
+    return bounds[np.lexsort((bounds[:, 0], -bounds[:, 1]))]
 
 
 def hierarchical_intervals(n: int, branching: int = 2) -> list[tuple[int, int]]:
@@ -126,25 +157,8 @@ def hierarchical_intervals(n: int, branching: int = 2) -> list[tuple[int, int]]:
     ``branching`` nearly-equal children; unit-length leaves are excluded (they
     are supplied by the Identity part of the hierarchical matrix).
     """
-    if n <= 0:
-        raise ValueError("domain size must be positive")
-    if branching < 2:
-        raise ValueError("branching factor must be at least 2")
-    intervals: list[tuple[int, int]] = []
-    frontier = [(0, n - 1)]
-    while frontier:
-        lo, hi = frontier.pop()
-        length = hi - lo + 1
-        if length <= 1:
-            continue
-        intervals.append((lo, hi))
-        # Split [lo, hi] into `branching` nearly-equal children.
-        edges = np.linspace(lo, hi + 1, branching + 1).astype(int)
-        for k in range(branching):
-            c_lo, c_hi = edges[k], edges[k + 1] - 1
-            if c_hi >= c_lo:
-                frontier.append((c_lo, c_hi))
-    return intervals
+    lo, hi = hierarchical_bounds(n, branching).T.tolist()
+    return list(zip(lo, hi))
 
 
 class HierarchicalQueries(LinearQueryMatrix):
@@ -159,10 +173,10 @@ class HierarchicalQueries(LinearQueryMatrix):
     def __init__(self, n: int, branching: int = 2):
         self.n = int(n)
         self.branching = int(branching)
-        intervals = hierarchical_intervals(self.n, self.branching)
+        bounds = hierarchical_bounds(self.n, self.branching)
         parts: list[LinearQueryMatrix] = [Identity(self.n)]
-        if intervals:
-            parts.append(RangeQueries(self.n, intervals))
+        if bounds.size:
+            parts.append(RangeQueries(self.n, bounds))
         self._union = VStack(parts)
         self.shape = self._union.shape
 

@@ -87,11 +87,16 @@ class NormalEquations:
         return sp.issparse(self.gram)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``gram @ x = rhs`` for a vector or a stack of columns."""
+        """Solve ``gram @ x = rhs`` for a vector or a stack of columns.
+
+        A non-finite ``rhs`` raises ``ValueError``.  The factor itself was
+        checked once in :func:`build_normal_equations`, so the Cholesky solve
+        skips scipy's per-call scan of it.
+        """
+        rhs = np.asarray_chkfinite(rhs)
         if self.cho is not None:
-            return cho_solve(self.cho, rhs)
+            return cho_solve(self.cho, rhs, check_finite=False)
         if self.lu is not None:
-            rhs = np.asarray(rhs)
             if rhs.ndim == 2:
                 try:
                     return np.asarray(self.lu(rhs))
@@ -131,6 +136,10 @@ def build_normal_equations(
             raise ValueError(f"unknown Gram preference {prefer!r}")
         if sp.issparse(gram):
             gram = gram.tocsr()
+        # Checked once here so every later solve can skip the scan.
+        if not np.isfinite(gram.data if sp.issparse(gram) else gram).all():
+            raise ValueError("Gram matrix has non-finite entries")
+        if sp.issparse(gram):
             try:
                 lu = factorized(gram.tocsc())
             except RuntimeError:
@@ -139,7 +148,7 @@ def build_normal_equations(
             span.set_attributes(gram_kind="sparse", gram_nnz=int(gram.nnz))
             return NormalEquations(gram, cho=None, lu=lu)
         try:
-            cho = cho_factor(gram)
+            cho = cho_factor(gram, check_finite=False)
         except np.linalg.LinAlgError:
             cho = None
         span.set_attribute("gram_kind", "dense")

@@ -25,7 +25,7 @@ from ...matrix import (
     Weighted,
     quadtree_rects,
 )
-from ...matrix.ranges import hierarchical_intervals
+from ...matrix.ranges import hierarchical_bounds
 
 
 def _dyadic_decomposition(lo: int, hi: int, n: int) -> list[tuple[int, int]]:
@@ -57,12 +57,9 @@ def greedy_h_select(
         queries are assumed equally likely and the weights fall back to the
         H2-style uniform allocation.
     """
-    levels: dict[int, list[tuple[int, int]]] = {}
-    for lo, hi in hierarchical_intervals(n, branching=2):
-        length = hi - lo + 1
-        levels.setdefault(length, []).append((lo, hi))
-
-    level_sizes = sorted(levels, reverse=True)
+    bounds = hierarchical_bounds(n, branching=2)
+    lengths = bounds[:, 1] - bounds[:, 0] + 1
+    level_sizes = sorted(set(lengths.tolist()), reverse=True)
     usage = {size: 1.0 for size in level_sizes}
     usage[1] = 1.0  # unit-count level (the Identity part)
 
@@ -83,8 +80,8 @@ def greedy_h_select(
 
     parts: list[LinearQueryMatrix] = [Weighted(Identity(n), weights.get(1, 1.0))]
     for size in level_sizes:
-        intervals = levels[size]
-        parts.append(Weighted(RangeQueries(n, intervals), weights.get(size, 1.0)))
+        level = bounds[lengths == size]
+        parts.append(Weighted(RangeQueries(n, level), weights.get(size, 1.0)))
     return VStack(parts)
 
 

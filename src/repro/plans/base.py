@@ -89,7 +89,10 @@ def infer_least_squares(
     is built once per strategy and reused by every later request on it — keyed
     automatically by the strategy's canonical
     :meth:`~repro.matrix.base.LinearQueryMatrix.strategy_key`) and to the
-    stand-alone default ``"lsmr"`` otherwise.
+    stand-alone default ``"lsmr"`` otherwise.  The same cache may already have
+    supplied ``measurements`` itself (data-independent plans fetch their
+    selected strategy from it), in which case its memoised strategy key makes
+    the Gram lookup free.
     """
     from ..operators.inference import least_squares
 

@@ -33,6 +33,13 @@ from .base import (
 class _SelectMeasureInferPlan(Plan):
     """Shared implementation of the select → measure → least-squares idiom.
 
+    The selected strategy depends only on public inputs (the domain size and
+    the plan's parameters), so when the scheduler passes its ``ArtifactCache``
+    as ``gram_cache`` the strategy is built once and fetched from there under
+    ``("strategy", name, representation, n, *selection_params())``; stand-alone
+    runs build it directly.  Subclasses whose ``_select`` reads constructor
+    inputs must return them, hashable, from :meth:`selection_params`.
+
     ``inference_method=None`` (the default) defers to the service policy:
     LSMR stand-alone, shared normal equations when the scheduler provides its
     Gram cache.  Pass an explicit method to pin the solver either way.
@@ -55,24 +62,32 @@ class _SelectMeasureInferPlan(Plan):
         self.noise = noise
         self.delta = delta
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def _select(self, source: ProtectedDataSource) -> LinearQueryMatrix:
         raise NotImplementedError
+
+    def selection_params(self) -> tuple:
+        """Every constructor input ``_select`` reads, as a hashable tuple."""
+        return ()
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
         before = source.budget_consumed()
+        cache = kwargs.get("gram_cache")
+
+        def build() -> LinearQueryMatrix:
+            return with_representation(ensure_matrix(self._select(source)), self.representation)
+
         with plan_stage("select", plan=self.name) as span:
-            measurements = with_representation(
-                ensure_matrix(self._select(source, **kwargs)), self.representation
-            )
+            if cache is None:
+                measurements = build()
+            else:
+                key = ("strategy", self.name, self.representation, source.domain_size)
+                measurements = cache.get_or_build(key + self.selection_params(), build)
             span.set_attribute("num_measurements", int(measurements.shape[0]))
         answers = measure_vector(
             source, measurements, epsilon, noise=self.noise, delta=self.delta
         )
         estimate = infer_least_squares(
-            measurements,
-            answers,
-            method=self.inference_method,
-            gram_cache=kwargs.get("gram_cache"),
+            measurements, answers, method=self.inference_method, gram_cache=cache
         )
         return self._wrap(
             source,
@@ -137,7 +152,7 @@ class PriveletPlan(_SelectMeasureInferPlan):
     signature = "SP LM LS"
     plan_id = 2
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def _select(self, source: ProtectedDataSource) -> LinearQueryMatrix:
         return wavelet_select(source.domain_size)
 
 
@@ -148,7 +163,7 @@ class H2Plan(_SelectMeasureInferPlan):
     signature = "SH2 LM LS"
     plan_id = 3
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def _select(self, source: ProtectedDataSource) -> LinearQueryMatrix:
         return h2_select(source.domain_size)
 
 
@@ -159,7 +174,7 @@ class HbPlan(_SelectMeasureInferPlan):
     signature = "SHB LM LS"
     plan_id = 4
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def _select(self, source: ProtectedDataSource) -> LinearQueryMatrix:
         return hb_select(source.domain_size)
 
 
@@ -180,7 +195,12 @@ class GreedyHPlan(_SelectMeasureInferPlan):
         super().__init__(representation=representation, noise=noise, delta=delta)
         self.workload_intervals = workload_intervals
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def selection_params(self) -> tuple:
+        if self.workload_intervals is None:
+            return (None,)
+        return (tuple((int(lo), int(hi)) for lo, hi in self.workload_intervals),)
+
+    def _select(self, source: ProtectedDataSource) -> LinearQueryMatrix:
         return greedy_h_select(source.domain_size, self.workload_intervals)
 
 
@@ -201,7 +221,10 @@ class QuadtreePlan(_SelectMeasureInferPlan):
         super().__init__(representation=representation, noise=noise, delta=delta)
         self.shape = shape
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def selection_params(self) -> tuple:
+        return (tuple(int(v) for v in self.shape),)
+
+    def _select(self, source: ProtectedDataSource) -> LinearQueryMatrix:
         rows, cols = self.shape
         if rows * cols != source.domain_size:
             raise ValueError("2-D shape does not match the vector's domain size")
@@ -258,7 +281,10 @@ class HdmmPlan(_SelectMeasureInferPlan):
         super().__init__(representation=representation, noise=noise, delta=delta)
         self.workload = ensure_matrix(workload)
 
-    def _select(self, source: ProtectedDataSource, **kwargs) -> LinearQueryMatrix:
+    def selection_params(self) -> tuple:
+        return (self.workload.strategy_key(),)
+
+    def _select(self, source: ProtectedDataSource) -> LinearQueryMatrix:
         if self.workload.shape[1] != source.domain_size:
             raise ValueError("workload does not match the vector's domain size")
         return hdmm_select(self.workload)

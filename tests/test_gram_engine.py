@@ -249,6 +249,43 @@ class TestNormalEquationsSparse:
         np.testing.assert_allclose(ne.solve(np.ones(3)), np.ones(3))
 
 
+class TestNormalEquationsFiniteChecks:
+    """The factor is checked once at build; every solve still checks its rhs."""
+
+    @pytest.mark.parametrize("prefer", ["dense", "sparse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rhs_raises(self, prefer, bad):
+        strategy = VStack([_reduction(32, 4, 1), Identity(32)])
+        ne = build_normal_equations(strategy, prefer=prefer)
+        assert ne.is_sparse == (prefer == "sparse")
+        rhs = np.ones(32)
+        rhs[5] = bad
+        with pytest.raises(ValueError):
+            ne.solve(rhs)
+        with pytest.raises(ValueError):
+            ne.solve(np.stack([np.ones(32), rhs], axis=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("prefer", ["auto", "dense", "sparse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gram_fails_at_build(self, prefer, bad):
+        mat = sp.identity(8, format="csr") * 2.0
+        mat = mat.tolil()
+        mat[3, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            build_normal_equations(SparseMatrix(mat.tocsr()), prefer=prefer)
+        with pytest.raises(ValueError, match="non-finite"):
+            build_normal_equations(DenseMatrix(mat.toarray()), prefer=prefer)
+
+    def test_multi_rhs_solve_matches_column_solves(self):
+        strategy = HierarchicalQueries(32)
+        ne = build_normal_equations(strategy, prefer="dense")
+        rhs = _rng(4).normal(size=(32, 3))
+        stacked = ne.solve(rhs)
+        for j in range(3):
+            np.testing.assert_allclose(stacked[:, j], ne.solve(rhs[:, j]), rtol=1e-12)
+
+
 class TestWeightedResidualUnits:
     def test_uniform_weights_scale_residual_consistently(self):
         queries = HierarchicalQueries(16)

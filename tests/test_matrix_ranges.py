@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 
 from repro.matrix import (
     HierarchicalQueries,
@@ -32,9 +33,36 @@ class TestRangeQueries:
         u = rng.normal(size=3)
         assert np.allclose(r.rmatvec(u), r.dense().T @ u)
 
-    def test_sensitivity_is_max_coverage(self):
-        r = RangeQueries(10, [(0, 9), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_sensitivity_is_max_coverage(self, seed):
+        if seed is None:
+            n, intervals = 10, [(0, 9), (2, 5), (3, 3)]
+        else:
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 200))
+            lo = rng.integers(0, n, size=int(rng.integers(1, 80)))
+            intervals = [(int(a), int(rng.integers(a, n))) for a in lo]
+        r = RangeQueries(n, intervals)
         assert r.sensitivity() == np.abs(r.dense()).sum(axis=0).max()
+
+    def test_difference_matrix_is_canonical_csr(self):
+        # Reference: the COO triplets (+1 at hi, -1 at lo - 1) scipy
+        # canonicalises; the direct CSR build must match it exactly.
+        rng = np.random.default_rng(7)
+        n = 50
+        lo = rng.integers(0, n, size=40)
+        intervals = [(int(a), int(rng.integers(a, n))) for a in lo] + [(0, 0), (0, n - 1)]
+        triplets = []
+        for i, (a, b) in enumerate(intervals):
+            triplets.append((i, b, 1.0))
+            if a > 0:
+                triplets.append((i, a - 1, -1.0))
+        rows, cols, vals = zip(*triplets)
+        expected = sp.csr_matrix((vals, (rows, cols)), shape=(len(intervals), n))
+        got = RangeQueries(n, intervals)._difference_matrix().matrix
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, field), getattr(expected, field))
+            assert getattr(got, field).dtype == getattr(expected, field).dtype
 
     def test_abs_square_are_noops(self):
         r = RangeQueries(5, [(0, 2)])
@@ -42,14 +70,41 @@ class TestRangeQueries:
         assert r.square() is r
 
     def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            RangeQueries(5, [(3, 7)])
+        for bad in ([(3, 7)], [(0, 1), (-1, 2)], [(4, 2)], [(0, 5)], [(0, 1, 2)]):
+            with pytest.raises(ValueError):
+                RangeQueries(5, bad)
+        with pytest.raises(ValueError, match=r"\(3, 7\)"):
+            RangeQueries(5, [(0, 1), (3, 7)])
         with pytest.raises(ValueError):
             RangeQueries(5, [])
+
+    def test_accepts_array_and_generator_input(self):
+        expected = RangeQueries(6, [(1, 3), (0, 5)])
+        for intervals in (np.array([[1, 3], [0, 5]]), ((a, b) for a, b in [(1, 3), (0, 5)])):
+            r = RangeQueries(6, intervals)
+            assert r.intervals == expected.intervals
+            assert r.strategy_key() == expected.strategy_key()
 
     def test_row(self):
         r = RangeQueries(5, [(1, 3)])
         assert np.allclose(r.row(0), [0, 1, 1, 1, 0])
+
+
+def _frontier_intervals(n: int, branching: int) -> list[tuple[int, int]]:
+    """Reference oracle: the original one-node-at-a-time stack construction."""
+    intervals = []
+    frontier = [(0, n - 1)]
+    while frontier:
+        lo, hi = frontier.pop()
+        if hi - lo + 1 <= 1:
+            continue
+        intervals.append((lo, hi))
+        edges = np.linspace(lo, hi + 1, branching + 1).astype(int)
+        for k in range(branching):
+            c_lo, c_hi = edges[k], edges[k + 1] - 1
+            if c_hi >= c_lo:
+                frontier.append((c_lo, c_hi))
+    return intervals
 
 
 class TestHierarchicalQueries:
@@ -87,6 +142,12 @@ class TestHierarchicalQueries:
     def test_invalid_branching(self):
         with pytest.raises(ValueError):
             hierarchical_intervals(8, branching=1)
+
+    @pytest.mark.parametrize("branching", range(2, 17))
+    def test_matches_frontier_loop_in_order(self, branching):
+        # Order matters: it fixes which noise draw lands on which row.
+        for n in [*range(1, 600), 1023, 1025, 2048, 3000, 4096, 5000, 28000]:
+            assert hierarchical_intervals(n, branching) == _frontier_intervals(n, branching), n
 
 
 class TestOptimalBranching:
