@@ -98,6 +98,12 @@ class LinearQueryMatrix:
     Prefix, a reshaped tensor contraction for Kronecker).  Subclasses override
     the underscore kernels only — never the public methods — so validation
     stays uniform across the hierarchy.
+
+    **Immutability.**  A matrix object is treated as immutable once built:
+    :meth:`strategy_key` and the generic :meth:`sensitivity` are memoised in
+    the instance ``__dict__`` and structured subclasses keep derived forms
+    (e.g. a transposed CSR) for reuse.  Build a new matrix instead of mutating
+    the arrays behind an existing one.
     """
 
     #: (rows, columns) of the represented matrix.
@@ -200,10 +206,17 @@ class LinearQueryMatrix:
         """L1 sensitivity: the maximum absolute column sum, ``||A||_1``.
 
         Computed as ``max(abs(A).T @ 1)`` using only primitive methods, so it
-        works for implicit matrices without materialisation.
+        works for implicit matrices without materialisation.  The value is
+        memoised per instance (matrices are immutable), so a strategy shared
+        by many measurements — one per stripe of a striped plan — derives it
+        once.
         """
-        ones = np.ones(self.shape[0])
-        return float(np.max(abs(self).rmatvec(ones)))
+        value = self.__dict__.get("_sensitivity_cache")
+        if value is None:
+            ones = np.ones(self.shape[0])
+            value = float(np.max(abs(self).rmatvec(ones)))
+            self.__dict__["_sensitivity_cache"] = value
+        return value
 
     def sensitivity_l2(self) -> float:
         """L2 sensitivity: the maximum column L2 norm, ``||A||_2``."""

@@ -483,7 +483,8 @@ def _is_nonnegative(matrix: LinearQueryMatrix) -> bool:
     if isinstance(matrix, Product):
         return _is_nonnegative(matrix.left) and _is_nonnegative(matrix.right)
     if hasattr(matrix, "matrix"):
-        return bool((matrix.matrix >= 0).sum() == np.prod(matrix.shape))
+        # Implicit zeros are non-negative, so only the stored entries count.
+        return bool(np.all(matrix.matrix.data >= 0))
     if hasattr(matrix, "array"):
         return bool(np.all(matrix.array >= 0))
     return False

@@ -80,18 +80,29 @@ class SparseMatrix(LinearQueryMatrix):
             matrix = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
         self.matrix = matrix.tocsr().astype(np.float64)
         self.shape = self.matrix.shape
+        self._transpose_cache: sp.csr_matrix | None = None
+
+    def _csr_t(self) -> sp.csr_matrix:
+        """The transpose in CSR form, built on first use and kept for reuse.
+
+        ``rmatvec`` runs once per LSMR iteration, so the transpose is built
+        once per matrix rather than once per call.
+        """
+        if self._transpose_cache is None:
+            self._transpose_cache = self.matrix.T.tocsr()
+        return self._transpose_cache
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.matrix @ np.asarray(v, dtype=np.float64)).ravel()
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix.T @ np.asarray(v, dtype=np.float64)).ravel()
+        return np.asarray(self._csr_t() @ np.asarray(v, dtype=np.float64)).ravel()
 
     def _matmat(self, B: np.ndarray) -> np.ndarray:
         return np.asarray(self.matrix @ B)
 
     def _rmatmat(self, B: np.ndarray) -> np.ndarray:
-        return np.asarray(self.matrix.T @ B)
+        return np.asarray(self._csr_t() @ B)
 
     def gram_dense(self, block_size: int | None = None) -> np.ndarray:
         return np.asarray((self.matrix.T @ self.matrix).todense())
@@ -116,7 +127,7 @@ class SparseMatrix(LinearQueryMatrix):
 
     @property
     def T(self) -> LinearQueryMatrix:
-        return SparseMatrix(self.matrix.T.tocsr())
+        return SparseMatrix(self._csr_t())
 
     def __abs__(self) -> LinearQueryMatrix:
         return SparseMatrix(abs(self.matrix))

@@ -72,6 +72,20 @@ def measure_vector(
     raise ValueError(f"unknown noise kind {noise!r}; expected one of {NOISE_KINDS}")
 
 
+def check_partition_share(share: float) -> float:
+    """Validate the budget share a two-stage plan gives its partition stage.
+
+    Both stages must get a positive budget, so the share lies strictly in
+    ``(0, 1)``.  Plans check it when they are built, before anything is
+    charged: a share of 1 or more would charge the partition stage and then
+    fail on a non-positive measurement budget with nothing released.
+    """
+    share = float(share)
+    if not 0.0 < share < 1.0:
+        raise ValueError(f"partition_share must lie in (0, 1); got {share}")
+    return share
+
+
 def infer_least_squares(
     measurements: LinearQueryMatrix,
     answers: np.ndarray,
@@ -93,11 +107,17 @@ def infer_least_squares(
     supplied ``measurements`` itself (data-independent plans fetch their
     selected strategy from it), in which case its memoised strategy key makes
     the Gram lookup free.
+
+    ``answers`` may be an ``(m, s)`` block of right-hand sides (striped plans
+    stack every stripe measured with one strategy).  With ``s >= 2`` the
+    factorisation is amortised across columns, so ``method=None`` resolves to
+    ``"auto"`` just as it does for a supplied ``gram_cache``.
     """
     from ..operators.inference import least_squares
 
     if method is None:
-        method = "auto" if gram_cache is not None else "lsmr"
+        batched = np.ndim(answers) == 2 and np.shape(answers)[1] >= 2
+        method = "auto" if gram_cache is not None or batched else "lsmr"
     with plan_stage("infer", method=method, shared_gram=gram_cache is not None) as span:
         estimate = least_squares(
             measurements, answers, method=method, gram_cache=gram_cache, **kwargs

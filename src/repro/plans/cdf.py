@@ -20,6 +20,7 @@ from ..matrix import Identity, Prefix
 from ..operators.inference import nnls
 from ..operators.partition import ahp_partition
 from ..private.protected import ProtectedDataSource
+from .base import check_partition_share
 
 
 def cdf_estimator(
@@ -46,6 +47,7 @@ def cdf_estimator(
     partition_share:
         Fraction of the budget given to AHPpartition (0.5 in Algorithm 1).
     """
+    partition_share = check_partition_share(partition_share)
     filtered = table_source.where(where) if where else table_source
     projected = filtered.select([value_attribute])
     vector = projected.vectorize()

@@ -18,6 +18,7 @@ from ..private.protected import ProtectedDataSource
 from .base import (
     Plan,
     PlanResult,
+    check_partition_share,
     infer_least_squares,
     measure_vector,
     plan_stage,
@@ -126,7 +127,7 @@ class AhpPlan(Plan):
         gap_ratio: float = 0.5,
         representation: str = "implicit",
     ):
-        self.partition_share = partition_share
+        self.partition_share = check_partition_share(partition_share)
         self.eta = eta
         self.gap_ratio = gap_ratio
         self.representation = representation
@@ -169,7 +170,7 @@ class DawaPlan(Plan):
         representation: str = "implicit",
     ):
         self.workload_intervals = workload_intervals
-        self.partition_share = partition_share
+        self.partition_share = check_partition_share(partition_share)
         self.representation = representation
 
     def _reduced_intervals(self, partition) -> list[tuple[int, int]] | None:

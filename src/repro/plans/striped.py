@@ -6,9 +6,11 @@ attributes.  Lower-dimensional techniques (HB, DAWA) then run on each stripe,
 and parallel composition means the per-stripe budget is the full budget.
 
 * HB-Striped (#15) runs HB on every stripe (the measurements are identical
-  across stripes because HB is data-independent);
+  across stripes because HB is data-independent, so one least-squares solve
+  with a column per stripe covers them all);
 * DAWA-Striped (#14) runs DAWA on every stripe (the partitions differ because
-  DAWA adapts to each stripe's data);
+  DAWA adapts to each stripe's data; stripes reduced to the same size share a
+  strategy and one solve);
 * HB-Striped_kron (#16) expresses the same measurements as HB-Striped with a
   single Kronecker-product measurement matrix — no explicit splitting.
 """
@@ -19,16 +21,22 @@ from typing import Sequence
 
 import numpy as np
 
-from ..matrix import Identity, ReductionMatrix
+from ..matrix import Identity, LinearQueryMatrix, ReductionMatrix
 from ..operators.partition import l1_partition_batch, stripe_partition
 from ..operators.selection import greedy_h_select, hb_select
 from ..operators.selection.stripe import stripe_kron_select
 from ..private.protected import ProtectedDataSource
-from .base import Plan, PlanResult, infer_least_squares, with_representation
+from .base import (
+    Plan,
+    PlanResult,
+    check_partition_share,
+    infer_least_squares,
+    with_representation,
+)
 
 
 class HbStripedPlan(Plan):
-    """Plan #15 — partition into stripes, run HB + least squares in each."""
+    """Plan #15 — partition into stripes, measure HB in each, solve all stripes at once."""
 
     name = "HB-Striped"
     signature = "PS TP[ SHB LM] LS"
@@ -48,15 +56,16 @@ class HbStripedPlan(Plan):
         stripe_length = self.domain[self.stripe_axis]
         measurements = with_representation(hb_select(stripe_length), self.representation)
 
+        # The HB strategy is identical in every stripe, so the per-stripe
+        # answers stack into one (m, stripes) block and a single solve covers
+        # every stripe with one factorisation (with a cache, one shared with
+        # all later requests too).
+        answers = np.stack(
+            [stripe.vector_laplace(measurements, epsilon) for stripe in stripes], axis=1
+        )
+        estimate = infer_least_squares(measurements, answers, gram_cache=kwargs.get("gram_cache"))
         estimates = np.zeros(source.domain_size)
-        split_indices = partition.split_indices()
-        gram_cache = kwargs.get("gram_cache")
-        for stripe, cells in zip(stripes, split_indices):
-            answers = stripe.vector_laplace(measurements, epsilon)
-            # The HB strategy is identical in every stripe, so with a cache
-            # one factorisation serves all stripes (and all later requests).
-            estimate = infer_least_squares(measurements, answers, gram_cache=gram_cache)
-            estimates[cells] = estimate.x_hat
+        estimates[np.stack(partition.split_indices())] = estimate.x_hat.T
         return self._wrap(
             source, before, estimates, num_stripes=len(stripes), stripe_length=stripe_length
         )
@@ -78,7 +87,7 @@ class DawaStripedPlan(Plan):
     ):
         self.domain = tuple(int(d) for d in domain)
         self.stripe_axis = int(stripe_axis)
-        self.partition_share = partition_share
+        self.partition_share = check_partition_share(partition_share)
         self.representation = representation
 
     def run(self, source: ProtectedDataSource, epsilon: float, **kwargs) -> PlanResult:
@@ -104,20 +113,30 @@ class DawaStripedPlan(Plan):
         )
         assignments = l1_partition_batch(noisy_histograms, 1.0 / partition_epsilon)
 
-        estimates = np.zeros(source.domain_size)
+        # Stripes whose DAWA partitions have the same number of groups k share
+        # one Greedy-H strategy: each stripe is still measured on its own, in
+        # stripe order, but every k is solved as one multi-column block.  The
+        # k values are DP outputs of this request, so the strategies stay
+        # request-local — a shared-cache hit would leak them through timing.
+        strategies: dict[int, LinearQueryMatrix] = {}
+        members: dict[int, list[tuple[ReductionMatrix, np.ndarray, np.ndarray]]] = {}
         total_groups = 0
         for stripe, cells, assignment in zip(stripes, split_indices, assignments):
             stripe_partition_matrix = ReductionMatrix(assignment)
             reduced = stripe.reduce_by_partition(stripe_partition_matrix)
-            measurements = with_representation(
-                greedy_h_select(reduced.domain_size), self.representation
-            )
-            answers = reduced.vector_laplace(measurements, measure_epsilon)
-            # Each stripe's DAWA partition is fresh DP noise, so the reduced
-            # strategies are one-off: no shared Gram caching.
-            estimate = infer_least_squares(measurements, answers)
-            estimates[cells] = stripe_partition_matrix.expand_vector(estimate.x_hat)
+            k = reduced.domain_size
+            if k not in strategies:
+                strategies[k] = with_representation(greedy_h_select(k), self.representation)
+            answers = reduced.vector_laplace(strategies[k], measure_epsilon)
+            members.setdefault(k, []).append((stripe_partition_matrix, cells, answers))
             total_groups += stripe_partition_matrix.num_groups
+
+        estimates = np.zeros(source.domain_size)
+        for k, group in members.items():
+            answers = np.stack([y for _, _, y in group], axis=1)
+            x_hat = infer_least_squares(strategies[k], answers).x_hat
+            for column, (stripe_partition_matrix, cells, _) in enumerate(group):
+                estimates[cells] = stripe_partition_matrix.expand_vector(x_hat[:, column])
         return self._wrap(
             source, before, estimates, num_stripes=len(stripes), total_groups=total_groups
         )

@@ -130,6 +130,17 @@ class TestGramProtocol:
         # The structural sparse() builders must agree with dense().
         np.testing.assert_allclose(matrix.sparse().toarray(), matrix.dense(), atol=1e-12)
 
+    def test_sensitivity_agrees_with_dense(self, name, matrix):
+        # The dense oracle of test_matrix_properties over every matrix class;
+        # the second call reads the memoised value of the generic derivation.
+        expected = np.abs(matrix.dense()).sum(axis=0).max()
+        for _ in range(2):
+            assert np.isclose(matrix.sensitivity(), expected, rtol=1e-6, atol=1e-9)
+
+    def test_l2_sensitivity_agrees_with_dense(self, name, matrix):
+        expected = np.sqrt((matrix.dense() ** 2).sum(axis=0).max())
+        assert np.isclose(matrix.sensitivity_l2(), expected, rtol=1e-6, atol=1e-9)
+
 
 class TestGramAutoSelection:
     def test_disjoint_partition_strategy_is_sparse(self):

@@ -188,9 +188,11 @@ class TestCachedStrategyAnswers:
             assert np.array_equal(a.x_hat, b.x_hat)
         assert len([key for key in cache._entries if key[0] == "strategy"]) == 3
         # A cached strategy carries no per-request state: its lazily memoised
-        # strategy key equals that of a fresh build.
+        # strategy key and sensitivity, filled in by concurrent requests, equal
+        # those of a fresh build.
         for name, params in CACHED[1:4]:
             plan = make_plan(name, params)
             key = ("strategy", plan.name, plan.representation, N, *plan.selection_params())
             fresh = plan._select(_source())
             assert cache._entries[key].strategy_key() == fresh.strategy_key()
+            assert cache._entries[key].sensitivity() == fresh.sensitivity()
