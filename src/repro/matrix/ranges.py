@@ -100,6 +100,27 @@ class RangeQueries(LinearQueryMatrix):
         ends = np.bincount(self._hi + 1, minlength=self.n + 1)
         return float(np.max(np.cumsum(starts - ends)[: self.n]))
 
+    def gram_dense(self, block_size: int | None = None) -> np.ndarray:
+        # Entry (i, j) counts the intervals containing both i and j.  Each
+        # interval adds 1 over the square [lo, hi] x [lo, hi]: a 2-D difference
+        # array (+1 at (lo, lo) and (hi+1, hi+1), -1 at the other two corners;
+        # corners past the domain drop out) prefix-summed along both axes.
+        # Every entry is a small integer, so the sums are exact.
+        n = self.n
+        lo, end = self._lo, self._hi + 1
+        inside = end < n
+        lo_in, end_in = lo[inside], end[inside]
+        rows = np.concatenate([lo, lo_in, end_in, end_in])
+        cols = np.concatenate([lo, end_in, lo_in, end_in])
+        signs = np.repeat([1.0, -1.0, -1.0, 1.0], [lo.size] + 3 * [end_in.size])
+        gram = np.bincount(rows * n + cols, weights=signs, minlength=n * n).reshape(n, n)
+        # Down the columns row by row: numpy's axis-0 cumsum strides through
+        # memory and measured ~7x slower at n = 2048.
+        for i in range(1, n):
+            gram[i] += gram[i - 1]
+        np.cumsum(gram, axis=1, out=gram)
+        return gram
+
     def dense(self) -> np.ndarray:
         return self.rows(np.arange(self.shape[0]))
 

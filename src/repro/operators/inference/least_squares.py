@@ -31,6 +31,13 @@ Because the factorisation is then amortised across columns, ``"auto"`` treats
 a block with ``s >= 2`` like a supplied ``gram_cache`` and takes the normal
 equations from square systems (``m >= n``) upward, within the same
 ``_AUTO_NORMAL_MAX_DOMAIN`` bound.
+
+The Gram products, factorisations, triangular solves and residual norms are
+BLAS calls, and OpenBLAS sums in a different order at different thread
+counts, so estimates can differ in their last bits between thread counts.
+The service runs every plan on one BLAS thread
+(:func:`repro.service.single_blas_thread`); wrap a stand-alone run in the
+same scope to reproduce its answers bit for bit.
 """
 
 from __future__ import annotations
@@ -105,22 +112,11 @@ class NormalEquations:
 
         A non-finite ``rhs`` raises ``ValueError``.  The factor itself was
         checked once in :func:`build_normal_equations`, so the Cholesky solve
-        skips scipy's per-call scan of it.
-
-        The Cholesky path solves a stack one column at a time.  A 2-D solve is
-        a BLAS-3 triangular solve that, from a ~100 x 100 factor with a few
-        dozen columns, wakes OpenBLAS's thread pool; those threads keep
-        spinning for a while after the call returns and take the core of any
-        process working alongside.  On a 2-core machine running the
-        ``census_striped`` benchmark (two worker processes), the column loop
-        measured +21% throughput over the single 2-D call.
+        skips scipy's per-call scan of it.  A stack of columns is one
+        triangular solve against the factor.
         """
         rhs = np.asarray_chkfinite(rhs)
         if self.cho is not None:
-            if rhs.ndim == 2:
-                return np.stack(
-                    [cho_solve(self.cho, col, check_finite=False) for col in rhs.T], axis=1
-                )
             return cho_solve(self.cho, rhs, check_finite=False)
         if self.lu is not None:
             if rhs.ndim == 2:
@@ -135,17 +131,6 @@ class NormalEquations:
             return self.lu(rhs)
         gram = self.gram.toarray() if sp.issparse(self.gram) else self.gram
         return np.linalg.lstsq(gram, rhs, rcond=None)[0]
-
-
-def _frobenius_norm(residual: np.ndarray) -> float:
-    """``||residual||_F`` computed by numpy's own reduction, not BLAS.
-
-    ``np.linalg.norm`` hands an array of more than ~10,000 entries to
-    OpenBLAS's threaded ``ddot``, whose threads then spin after the call and
-    take the core of any process working alongside (the service's worker
-    processes, on a small machine).
-    """
-    return float(np.sqrt(np.sum(np.square(residual))))
 
 
 def build_normal_equations(
@@ -335,7 +320,7 @@ def least_squares(
             else:
                 x_hat = normal.solve(queries.rmatvec(answers))
                 fitted = queries.matvec(x_hat)
-            residual = scale * _frobenius_norm(fitted - answers)
+            residual = scale * float(np.linalg.norm(fitted - answers))
             span.set_attributes(iterations=1, residual_norm=residual)
             return InferenceResult(np.asarray(x_hat), iterations=1, residual_norm=residual)
         if method != "lsmr":

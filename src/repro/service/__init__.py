@@ -10,8 +10,9 @@ needs between the two — sessions, scheduling, caching and auditing:
 * :class:`PlanScheduler` — the execution core: a composable request pipeline
   (:mod:`~repro.service.pipeline`) over pluggable executor backends
   (:mod:`~repro.service.executors`: ``inline``/``thread``/``process``), with
-  deterministic per-request noise seeding that makes answers byte-identical
-  on every backend;
+  deterministic per-request noise seeding and plan compute on one BLAS
+  thread (:func:`single_blas_thread`), which together make answers
+  byte-identical on every backend;
 * :class:`ShardRouter` / :class:`Shard` — consistent-hash session sharding
   with exact live migration, duck-type interchangeable with
   :class:`SessionManager`;
@@ -60,7 +61,9 @@ from .executors import (
     PlanJobOutcome,
     ProcessExecutor,
     ThreadExecutor,
+    blas_thread_count,
     make_executor,
+    single_blas_thread,
 )
 from .export import (
     export_json,
@@ -101,6 +104,8 @@ __all__ = [
     "PlanJob",
     "PlanJobOutcome",
     "make_executor",
+    "single_blas_thread",
+    "blas_thread_count",
     "RequestContext",
     "RequestPipeline",
     "MeasurementCache",

@@ -32,10 +32,19 @@ dataclasses/ndarrays/primitives throughout this repo); plan *artifacts* that
 cannot pickle — notably scipy's SuperLU sparse factorisations inside
 normal-equations artifacts — simply stay in each worker's process-local
 cache and are skipped by the shared cross-process tier.
+
+Plan compute runs on one BLAS thread on every backend
+(:func:`single_blas_thread`): worker processes are pinned for their
+lifetime, and the driver scopes its local plan runs and answer products.
+OpenBLAS sums in a different order at different thread counts, so this is
+what keeps answers byte-identical across backends and independent of the
+host's core count; it also stops idle-spinning BLAS threads in one process
+from taking the cores of the others.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import threading
@@ -57,9 +66,119 @@ __all__ = [
     "ProcessExecutor",
     "ThreadExecutor",
     "adopt_outcome",
+    "blas_thread_count",
     "execute_plan_job",
     "make_executor",
+    "single_blas_thread",
 ]
+
+
+# ----------------------------------------------------------------------
+# BLAS thread policy: all plan compute runs on one OpenBLAS thread.
+# ----------------------------------------------------------------------
+#: (setter, getter) symbol pairs, one per OpenBLAS build: numpy's 64-bit
+#: interface wheel build, scipy's wheel build, a system OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _find_openblas_controls() -> list[tuple]:
+    """``(set, get)`` thread-count functions of every loaded OpenBLAS.
+
+    numpy and scipy each load their own copy, and scipy's only once
+    ``scipy.linalg`` is imported.  Returns an empty list where no OpenBLAS
+    is loaded or the process map is unreadable (another BLAS, another OS).
+    """
+    import scipy.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = sorted(
+        {
+            f[5].strip()
+            for f in fields
+            if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()
+        }
+    )
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+class _SingleBlasThread:
+    """Reference-counted scope holding every loaded OpenBLAS at one thread.
+
+    The thread count is process-wide, so overlapping scopes (concurrent
+    thread-backend plan runs) share one count: the first entrant saves the
+    current counts and sets 1, the last one out restores them, also when an
+    exception leaves the scope.  A no-op where no OpenBLAS is found.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[int] = []
+        self._controls: list[tuple] | None = None
+
+    def controls(self) -> list[tuple]:
+        with self._lock:
+            if self._controls is None:
+                self._controls = _find_openblas_controls()
+            return self._controls
+
+    def __enter__(self):
+        controls = self.controls()
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [get() for _, get in controls]
+                for set_threads, _ in controls:
+                    set_threads(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        controls = self.controls()
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (set_threads, _), count in zip(controls, self._saved):
+                    set_threads(count)
+
+
+_BLAS_SCOPE = _SingleBlasThread()
+
+
+def single_blas_thread() -> _SingleBlasThread:
+    """Context manager: run the enclosed compute on one BLAS thread.
+
+    Wrap a stand-alone ``plan.run`` in it to reproduce the service's answers
+    bit for bit.  Scopes nest and may overlap across threads.
+    """
+    return _BLAS_SCOPE
+
+
+def blas_thread_count() -> int | None:
+    """The largest thread count among the loaded OpenBLAS libraries, or
+    ``None`` when none is found."""
+    counts = [get() for _, get in _BLAS_SCOPE.controls()]
+    return max(counts) if counts else None
 
 
 class ExecutorBackend:
@@ -232,6 +351,9 @@ def _init_plan_worker(store_state=None) -> None:
 
     shared = SharedArtifactStore.from_state(store_state) if store_state else None
     _WORKER_CACHE = ArtifactCache(shared=shared)
+    # Entered and never left: the worker computes on one BLAS thread for
+    # its whole lifetime.
+    _BLAS_SCOPE.__enter__()
 
 
 def execute_plan_job(job: PlanJob) -> PlanJobOutcome:
@@ -292,7 +414,11 @@ def execute_plan_job(job: PlanJob) -> PlanJobOutcome:
     try:
         if worker_tracer is not None:
             with activate(worker_tracer), worker_tracer.span(
-                "executor.worker", backend="process", pid=os.getpid(), plan=job.plan
+                "executor.worker",
+                backend="process",
+                pid=os.getpid(),
+                plan=job.plan,
+                blas_threads=blas_thread_count(),
             ):
                 result = _run()
         else:

@@ -43,7 +43,7 @@ from ..private.exceptions import DeadlineExceededError
 from ..telemetry.context import current_context
 from ..telemetry.spans import NOOP_SPAN, NULL_TRACER, activate
 from .api import QueryRequest, QueryResponse, RequestFailure
-from .executors import PlanJob, adopt_outcome
+from .executors import PlanJob, adopt_outcome, blas_thread_count, single_blas_thread
 from .robustness import AdmissionGate, BreakerGate, SessionClosedError
 from .session import Session, SessionEvent
 
@@ -390,24 +390,31 @@ class PlanRunStage(_Stage):
             # remotely the worker's private tracer opens it and the span is
             # adopted back — so inline/thread/process traces are structurally
             # identical (only the pid attribute differs).
-            with svc.tracer.span("plan.run", plan=request.plan):
-                if svc.executor.remote_plans:
-                    result = self._run_remote(ctx, seed, before)
-                else:
-                    with svc.tracer.span(
-                        "executor.worker",
-                        backend=svc.executor.name,
-                        pid=os.getpid(),
-                        plan=request.plan,
-                    ):
-                        result = svc.executor.run_plan(
-                            lambda: plan.run(
-                                source, request.epsilon, gram_cache=svc.artifact_cache
+            # Plan compute and the answer product run on one BLAS thread, as
+            # in the process backend's workers, so every backend sums in the
+            # same order and releases the same bits.
+            with single_blas_thread():
+                with svc.tracer.span("plan.run", plan=request.plan):
+                    if svc.executor.remote_plans:
+                        result = self._run_remote(ctx, seed, before)
+                    else:
+                        with svc.tracer.span(
+                            "executor.worker",
+                            backend=svc.executor.name,
+                            pid=os.getpid(),
+                            plan=request.plan,
+                            blas_threads=blas_thread_count(),
+                        ):
+                            result = svc.executor.run_plan(
+                                lambda: plan.run(
+                                    source, request.epsilon, gram_cache=svc.artifact_cache
+                                )
                             )
-                        )
-            answers = (
-                result.answer(workload_matrix) if workload_matrix is not None else None
-            )
+                answers = (
+                    result.answer(workload_matrix)
+                    if workload_matrix is not None
+                    else None
+                )
             if kernel.deadline is not None:
                 now = time.perf_counter()
                 if now > kernel.deadline:

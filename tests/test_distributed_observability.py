@@ -136,6 +136,10 @@ class TestTraceParity:
         assert "plan.run" in names
         assert "executor.worker" in names
         assert any(name.startswith("kernel.measure") for name in names)
+        # Plan compute ran on one BLAS thread on every backend.
+        for tracer in (inline_tracer, thread_tracer, process_tracer):
+            workers = [s for s in tracer.spans() if s.name == "executor.worker"]
+            assert [s.attributes["blas_threads"] for s in workers] == [1]
 
     def test_worker_spans_adopted_into_one_trace(self, relation, process_executor):
         response, tracer, _ = _traced_run(relation, process_executor)

@@ -142,6 +142,24 @@ class TestGramProtocol:
         assert np.isclose(matrix.sensitivity_l2(), expected, rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "n, intervals",
+    [
+        (1, [(0, 0)]),
+        (1, [(0, 0), (0, 0), (0, 0)]),
+        (6, [(0, 5)]),
+        (6, [(0, 0), (5, 5), (0, 5), (2, 3), (2, 3), (0, 5)]),
+        (9, [(lo, hi) for lo in range(9) for hi in range(lo, 9)]),
+    ],
+)
+def test_range_queries_closed_form_gram_is_exact(n, intervals):
+    # Domain edges (lo = 0, hi = n - 1), n = 1 and duplicate intervals; the
+    # difference-array Gram counts exactly, so equality is bitwise.
+    matrix = RangeQueries(n, intervals)
+    dense = matrix.dense()
+    assert np.array_equal(matrix.gram_dense(), dense.T @ dense)
+
+
 class TestGramAutoSelection:
     def test_disjoint_partition_strategy_is_sparse(self):
         strategy = VStack([_reduction(64, 8), Identity(64)])
